@@ -4,7 +4,12 @@
 
 #include "algebra/fta.h"
 #include "bench_common.h"
+#include "calculus/analysis.h"
+#include "compile/ftc_to_fta.h"
 #include "eval/pos_cursor.h"
+#include "lang/parser.h"
+#include "lang/translate.h"
+#include "scoring/tfidf.h"
 
 namespace {
 
@@ -91,6 +96,36 @@ void BM_MaterializedAntiJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaterializedAntiJoin)->Unit(benchmark::kMillisecond);
+
+void BM_MaterializedClosedNegation(benchmark::State& state) {
+  // The serving log's COMP shape: a dense topic token minus the nodes of a
+  // closed subquery with a negative predicate, TF-IDF scored. The topic
+  // token (18 occurrences in half the documents) compiles to
+  // project[](scan), which evaluates one tuple per list entry.
+  const InvertedIndex& index = SharedIndex(6000, 18);
+  auto parsed = fts::ParseQuery(
+      "'topic0' AND NOT (SOME p SOME q (p HAS 'w443' AND q HAS 'w404' AND "
+      "not_distance(p, q, 3)))",
+      fts::SurfaceLanguage::kComp);
+  auto calc = fts::TranslateToCalculus(*parsed);
+  auto plan = fts::CompileQuery(*calc);
+  const auto token_set = fts::CollectTokens(calc->expr);
+  const fts::TfIdfScoreModel model(
+      &index, std::vector<std::string>(token_set.begin(), token_set.end()));
+  uint64_t tuples = 0;
+  size_t matches = 0;
+  for (auto _ : state) {
+    EvalCounters counters;
+    auto rel = EvaluateFta(*plan, index, &model, &counters);
+    matches = rel->size();
+    tuples += counters.tuples_materialized;
+    benchmark::DoNotOptimize(matches);
+  }
+  state.counters["matches"] = static_cast<double>(matches);
+  state.counters["tuples_per_iter"] =
+      static_cast<double>(tuples) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_MaterializedClosedNegation)->Unit(benchmark::kMillisecond);
 
 void BM_PipelinedCursorOpsPerPosition(benchmark::State& state) {
   // Cost of one AdvancePosition step on a deep plan (join + 2 selects).

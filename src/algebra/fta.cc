@@ -228,6 +228,13 @@ StatusOr<FtRelation> EvaluateFta(const FtaExprPtr& expr, const InvertedIndex& in
       return OpScanToken(index, expr->token(), model, counters, raw_oracle,
                          cache, tombstones);
     case FtaExpr::Kind::kProject: {
+      // Late materialization: a token scan projected onto the node alone is
+      // evaluated per entry, never as per-occurrence tuples.
+      if (expr->project_cols().empty() &&
+          expr->child()->kind() == FtaExpr::Kind::kToken) {
+        return OpScanTokenNodes(index, expr->child()->token(), model, counters,
+                                raw_oracle, cache, tombstones);
+      }
       FTS_ASSIGN_OR_RETURN(FtRelation in,
                            EvaluateFta(expr->child(), index, model, counters,
                                        raw_oracle, cache, deadline, tombstones));

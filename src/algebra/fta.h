@@ -100,10 +100,14 @@ bool ShouldUseDecodedBlockCache(const FtaExprPtr& plan, const InvertedIndex& ind
 bool PlanFitsDecodedBlockCache(const FtaExprPtr& plan, const InvertedIndex& index);
 
 /// Bottom-up materialized evaluation (the COMP strategy, Section 5.4).
-/// `model` (nullable) supplies the Section 3 score transformations;
-/// `counters` (nullable) accumulates list and tuple traffic. `raw_oracle`
-/// (nullable, differential tests only) makes the leaf scans read the raw
-/// oracle lists instead of the block-resident ones. `cache` (nullable) is
+/// Materialization is late where the plan's shape allows it: a token scan
+/// projected onto the node alone (project[](scan(t))) is evaluated per
+/// list entry by OpScanTokenNodes, never as one tuple per occurrence;
+/// answers and score bits are those of the operator-at-a-time
+/// composition. `model` (nullable) supplies the Section 3 score
+/// transformations; `counters` (nullable) accumulates list and tuple
+/// traffic. `raw_oracle` (nullable, differential tests only) makes the leaf
+/// scans read the raw oracle lists instead of the block-resident ones. `cache` (nullable) is
 /// shared by every leaf scan of the evaluation, so a token occurring more
 /// than once in the plan bulk-decodes its blocks once. `deadline`
 /// (nullable) is checked once per operator application: materialized

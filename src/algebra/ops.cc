@@ -1,6 +1,7 @@
 #include "algebra/ops.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "index/block_posting_list.h"
 #include "index/decoded_block_cache.h"
@@ -92,6 +93,43 @@ StatusOr<FtRelation> ScanAnyOccurrences(CursorT cursor, const AlgebraScoreModel*
   return out;
 }
 
+// π_CNode(R_token) per entry: one zero-column tuple per entry, no position
+// decoded. Every occurrence tuple of an entry would carry the same leaf
+// score; the fold below is what OpProject applies to those tuples when it
+// collapses them onto the node.
+template <typename CursorT>
+StatusOr<FtRelation> ScanTokenEntries(CursorT cursor, const InvertedIndex& index,
+                                      TokenId tok, const AlgebraScoreModel* model,
+                                      EvalCounters* counters) {
+  FtRelation out(0);
+  while (cursor.NextEntry() != kInvalidNode) {
+    const uint32_t count = cursor.pos_count();
+    if (count == 0) continue;
+    FtTuple t;
+    t.node = cursor.current_node();
+    if (model != nullptr) {
+      const double s = model->LeafScore(index, tok, t.node);
+      t.score = s;
+      for (uint32_t i = 1; i < count; ++i) {
+        t.score = model->ProjectCombine(t.score, s);
+      }
+    }
+    out.Add(std::move(t));
+    if (counters) ++counters->tuples_materialized;
+  }
+  FTS_RETURN_IF_ERROR(cursor.status());
+  return out;
+}
+
+// True when `a` and `b` agree on the node and their first `k` offsets.
+bool SamePrefix(const FtTuple& a, const FtTuple& b, size_t k) {
+  if (a.node != b.node) return false;
+  for (size_t i = 0; i < k; ++i) {
+    if (a.positions[i].offset != b.positions[i].offset) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 StatusOr<FtRelation> OpScanToken(const InvertedIndex& index, std::string_view token,
@@ -128,6 +166,24 @@ StatusOr<FtRelation> OpScanHasPos(const InvertedIndex& index,
       model, counters);
 }
 
+StatusOr<FtRelation> OpScanTokenNodes(const InvertedIndex& index,
+                                      std::string_view token,
+                                      const AlgebraScoreModel* model,
+                                      EvalCounters* counters,
+                                      const RawPostingOracle* raw_oracle,
+                                      DecodedBlockCache* cache,
+                                      const TombstoneSet* tombstones) {
+  const TokenId tok = index.LookupToken(token);
+  if (tok == kInvalidToken) return FtRelation(0);
+  if (raw_oracle != nullptr) {
+    return ScanTokenEntries(ListCursor(raw_oracle->list(tok), counters, tombstones),
+                            index, tok, model, counters);
+  }
+  return ScanTokenEntries(
+      BlockListCursor(index.block_list(tok), counters, cache, tombstones), index,
+      tok, model, counters);
+}
+
 FtRelation OpScanSearchContext(const InvertedIndex& index,
                                const AlgebraScoreModel* model, EvalCounters* counters,
                                const TombstoneSet* tombstones) {
@@ -152,7 +208,29 @@ StatusOr<FtRelation> OpProject(const FtRelation& in, std::span<const int> cols,
                                      " out of range");
     }
   }
+  bool prefix = true;
+  for (size_t k = 0; k < cols.size(); ++k) prefix &= cols[k] == static_cast<int>(k);
   FtRelation out(cols.size());
+  if (prefix) {
+    // A prefix of a sorted key is sorted, so tuples that collapse onto the
+    // same projected tuple are adjacent; folding them in input order is
+    // exactly what Normalize's stable sort + fold would do.
+    assert(in.IsNormalized());
+    for (size_t i = 0; i < in.size(); ++i) {
+      const FtTuple& t = in.tuple(i);
+      if (counters) ++counters->tuples_materialized;
+      if (i > 0 && SamePrefix(in.tuple(i - 1), t, cols.size())) {
+        if (model) out.back().score = model->ProjectCombine(out.back().score, t.score);
+        continue;
+      }
+      FtTuple p;
+      p.node = t.node;
+      p.score = t.score;
+      p.positions.assign(t.positions.begin(), t.positions.begin() + cols.size());
+      out.Add(std::move(p));
+    }
+    return out;
+  }
   for (size_t i = 0; i < in.size(); ++i) {
     const FtTuple& t = in.tuple(i);
     FtTuple p;
@@ -202,7 +280,11 @@ FtRelation OpJoin(const FtRelation& l, const FtRelation& r,
       ++ri;
     }
   }
-  NormalizeWith(&out, model);
+  // Sorted and duplicate-free by construction: nodes ascend across groups,
+  // and within a node the pairs (a, b) are emitted in lexicographic order
+  // of (a's columns, b's columns) over two normalized inputs, so no two
+  // coincide.
+  assert(out.IsNormalized());
   return out;
 }
 

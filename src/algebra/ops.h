@@ -56,6 +56,21 @@ StatusOr<FtRelation> OpScanHasPos(const InvertedIndex& index,
                                   DecodedBlockCache* cache = nullptr,
                                   const TombstoneSet* tombstones = nullptr);
 
+/// π_CNode(R_token) without materializing the occurrences (late
+/// materialization): one zero-column tuple per list entry, read through the
+/// same cursor, cache, tombstones and raw-oracle seam as OpScanToken, with
+/// no position decoded. The tuple's score is the left fold of LeafScore
+/// under ProjectCombine, pos_count times — bit-identical to projecting
+/// OpScanToken's output onto no columns (deliberately not the model's
+/// closed-form EntryScore, whose arithmetic differs in the last bits).
+StatusOr<FtRelation> OpScanTokenNodes(const InvertedIndex& index,
+                                      std::string_view token,
+                                      const AlgebraScoreModel* model,
+                                      EvalCounters* counters,
+                                      const RawPostingOracle* raw_oracle = nullptr,
+                                      DecodedBlockCache* cache = nullptr,
+                                      const TombstoneSet* tombstones = nullptr);
+
 /// SearchContext: one zero-column tuple per live context node — tombstoned
 /// nodes are outside the universe (deleted documents neither match nor
 /// complement).
@@ -63,11 +78,15 @@ FtRelation OpScanSearchContext(const InvertedIndex& index,
                                const AlgebraScoreModel* model, EvalCounters* counters,
                                const TombstoneSet* tombstones = nullptr);
 
-/// π over the given columns, in the given order (CNode always kept).
+/// π over the given columns, in the given order (CNode always kept). A
+/// column prefix ([], [0], [0,1], ...) keeps the input's order, so
+/// duplicates are adjacent and fold in one linear pass; any other column
+/// list re-sorts.
 StatusOr<FtRelation> OpProject(const FtRelation& in, std::span<const int> cols,
                                const AlgebraScoreModel* model, EvalCounters* counters);
 
-/// Equi-join on CNode; output columns are left's then right's.
+/// Equi-join on CNode; output columns are left's then right's. The output
+/// is normalized by construction (see ops.cc), so it is never re-sorted.
 FtRelation OpJoin(const FtRelation& l, const FtRelation& r,
                   const AlgebraScoreModel* model, EvalCounters* counters);
 

@@ -45,6 +45,13 @@ void FtRelation::Normalize(double (*combine)(void*, double, double), void* ctx) 
   tuples_ = std::move(out);
 }
 
+bool FtRelation::IsNormalized() const {
+  for (size_t i = 1; i < tuples_.size(); ++i) {
+    if (!TupleLess(tuples_[i - 1], tuples_[i])) return false;
+  }
+  return true;
+}
+
 std::vector<NodeId> FtRelation::Nodes() const {
   std::vector<NodeId> nodes;
   for (const FtTuple& t : tuples_) {

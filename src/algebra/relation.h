@@ -42,8 +42,17 @@ class FtRelation {
   const FtTuple& tuple(size_t i) const { return tuples_[i]; }
   const std::vector<FtTuple>& tuples() const { return tuples_; }
 
+  /// The last appended tuple, for operators that fold a duplicate's score
+  /// into it instead of appending (relation must be non-empty).
+  FtTuple& back() { return tuples_.back(); }
+
   /// Appends a tuple (positions.size() must equal num_cols()).
   void Add(FtTuple t);
+
+  /// True when the tuples are strictly increasing under TupleLess (sorted,
+  /// no duplicates) — the invariant Normalize() establishes and every
+  /// operator output keeps.
+  bool IsNormalized() const;
 
   /// Sorts and deduplicates. Duplicate scores are folded with `combine`
   /// (e.g. the score model's ProjectCombine); null keeps the first score.

@@ -20,7 +20,9 @@ struct EvalCounters {
   /// Individual positions read from PosLists.
   uint64_t positions_scanned = 0;
   /// Tuples materialized by the algebra engine (COMP only; pipelined
-  /// engines materialize nothing).
+  /// engines materialize nothing). An occurrence scan charges one per
+  /// position; a node-level scan (project[](scan(t)), evaluated per entry)
+  /// charges one per list entry and reads no positions.
   uint64_t tuples_materialized = 0;
   /// Position-predicate evaluations.
   uint64_t predicate_evals = 0;
@@ -40,7 +42,8 @@ struct EvalCounters {
   uint64_t entries_decoded = 0;
   /// Positions decoded from compressed PosList payloads (charged on the
   /// first GetPositions() of an entry). Node-level work — df lookups, BOOL
-  /// merges, zig-zag alignment — keeps this at zero.
+  /// merges, zig-zag alignment, COMP's node-level scans — keeps this at
+  /// zero.
   uint64_t positions_decoded = 0;
   /// Blocks whose ids + entry headers were decoded in one bulk pass through
   /// the group varint decoder (every cursor block load takes this path; a

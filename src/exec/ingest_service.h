@@ -45,8 +45,9 @@ class IngestService : public SnapshotSource {
     /// segment when the snapshot holds more than this many segments.
     size_t merge_factor = 8;
     /// When non-empty, every sealed segment is also flushed to
-    /// `<spill_dir>/segment-<seal#>.fts` as an ordinary v3 index file,
-    /// crash-consistently (write-then-rename; see SaveSegmentAtomic).
+    /// `<spill_dir>/segment-<seal#>.fts` as an ordinary index file in the
+    /// default (v6) format, crash-consistently and durably (write, fsync,
+    /// rename, fsync the directory; see SaveSegmentAtomic).
     std::string spill_dir;
     /// IndexBuilder knobs applied to every seal and compaction. With
     /// build.pairs.frequent_terms > 0 each sealed segment carries its own

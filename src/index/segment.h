@@ -3,10 +3,11 @@
 // A SegmentBuffer accumulates documents in memory (an ordinary Corpus);
 // Seal() runs IndexBuilder over it and hands back an immutable segment —
 // just an InvertedIndex, so a sealed segment serializes, mmaps, caches and
-// evaluates exactly like a one-shot index. Durability is write-then-
-// rename: SaveSegmentAtomic serializes to `<path>.tmp` and renames into
-// place, so a crash mid-flush leaves either the old file or no file, never
-// a torn one.
+// evaluates exactly like a one-shot index. Durability is write, sync,
+// rename, sync: SaveSegmentAtomic serializes to `<path>.tmp`, fsyncs it,
+// renames it into place and fsyncs the directory, so a crash mid-flush
+// leaves either the old file or no file, never a torn one, and a returned
+// OK means the file survives a crash.
 
 #ifndef FTS_INDEX_SEGMENT_H_
 #define FTS_INDEX_SEGMENT_H_
@@ -45,8 +46,10 @@ class SegmentBuffer {
   Corpus corpus_;
 };
 
-/// Serializes `segment` to `path` crash-consistently: writes `<path>.tmp`
-/// and renames it into place (rename(2) is atomic within a filesystem).
+/// Serializes `segment` to `path` crash-consistently and durably: writes
+/// and fsyncs `<path>.tmp`, renames it into place (rename(2) is atomic
+/// within a filesystem), then fsyncs the parent directory so the rename
+/// itself survives a crash.
 Status SaveSegmentAtomic(const InvertedIndex& segment, const std::string& path);
 
 }  // namespace fts

@@ -1,5 +1,6 @@
 #include "lang/parser.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "lang/lexer.h"
@@ -45,6 +46,12 @@ class Parser {
                                    ")");
   }
 
+  Status CheckDepth(int depth) const {
+    if (depth <= kMaxQueryDepth) return Status::OK();
+    return Err("query nests deeper than " + std::to_string(kMaxQueryDepth) +
+               " levels");
+  }
+
   Status Expect(LexKind kind) {
     if (cur().kind != kind) {
       return Err(std::string("expected ") + LexKindToString(kind));
@@ -53,41 +60,58 @@ class Parser {
     return Status::OK();
   }
 
+  // Every Parse* below leaves the depth of the expression it returns in
+  // height_. AND/OR chains are built iteratively into left-deep trees, so
+  // their depth is checked as it grows.
   StatusOr<LangExprPtr> ParseOr() {
     FTS_ASSIGN_OR_RETURN(LangExprPtr l, ParseAnd());
+    int height = height_;
     while (cur().kind == LexKind::kOr) {
       Advance();
       FTS_ASSIGN_OR_RETURN(LangExprPtr r, ParseAnd());
+      height = std::max(height, height_) + 1;
+      FTS_RETURN_IF_ERROR(CheckDepth(height));
       l = LangExpr::Or(std::move(l), std::move(r));
     }
+    height_ = height;
     return l;
   }
 
   StatusOr<LangExprPtr> ParseAnd() {
     FTS_ASSIGN_OR_RETURN(LangExprPtr l, ParseUnary());
+    int height = height_;
     while (cur().kind == LexKind::kAnd) {
       Advance();
       FTS_ASSIGN_OR_RETURN(LangExprPtr r, ParseUnary());
+      height = std::max(height, height_) + 1;
+      FTS_RETURN_IF_ERROR(CheckDepth(height));
       l = LangExpr::And(std::move(l), std::move(r));
     }
+    height_ = height;
     return l;
   }
 
   StatusOr<LangExprPtr> ParseUnary() {
     switch (cur().kind) {
       case LexKind::kNot: {
+        FTS_RETURN_IF_ERROR(CheckDepth(++nesting_));
         Advance();
         FTS_ASSIGN_OR_RETURN(LangExprPtr e, ParseUnary());
+        --nesting_;
+        FTS_RETURN_IF_ERROR(CheckDepth(++height_));
         return LangExprPtr(LangExpr::Not(std::move(e)));
       }
       case LexKind::kSome:
       case LexKind::kEvery: {
+        FTS_RETURN_IF_ERROR(CheckDepth(++nesting_));
         const bool some = cur().kind == LexKind::kSome;
         Advance();
         if (cur().kind != LexKind::kIdent) return Err("expected variable name");
         std::string var = cur().text;
         Advance();
         FTS_ASSIGN_OR_RETURN(LangExprPtr body, ParseUnary());
+        --nesting_;
+        FTS_RETURN_IF_ERROR(CheckDepth(++height_));
         return some ? LangExpr::Some(std::move(var), std::move(body))
                     : LangExpr::Every(std::move(var), std::move(body));
       }
@@ -97,11 +121,15 @@ class Parser {
   }
 
   StatusOr<LangExprPtr> ParsePrimary() {
+    height_ = 1;  // every case but '(' returns a leaf
     switch (cur().kind) {
       case LexKind::kLParen: {
+        FTS_RETURN_IF_ERROR(CheckDepth(++nesting_));
         Advance();
         FTS_ASSIGN_OR_RETURN(LangExprPtr e, ParseOr());
         FTS_RETURN_IF_ERROR(Expect(LexKind::kRParen));
+        --nesting_;
+        FTS_RETURN_IF_ERROR(CheckDepth(++height_));
         return e;
       }
       case LexKind::kString: {
@@ -205,6 +233,13 @@ class Parser {
   std::vector<LexToken> tokens_;
   size_t pos_ = 0;
   const PredicateRegistry& registry_;
+  // Depth of the expression the last Parse* call returned.
+  int height_ = 0;
+  // '(' groups, NOTs, SOMEs and EVERYs on the current descent. The
+  // expression being parsed is at least this deep, so checking it on the
+  // way down refuses an over-deep query before the recursion can exhaust
+  // the stack. (An error ends the parse, so it is not unwound.)
+  int nesting_ = 0;
 };
 
 }  // namespace

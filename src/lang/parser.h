@@ -37,8 +37,17 @@ enum class SurfaceLanguage {
 
 const char* SurfaceLanguageToString(SurfaceLanguage lang);
 
+/// Deepest query ParseQuery accepts. Depth counts one level per AND, OR,
+/// NOT, SOME/EVERY and parenthesized group along the deepest path (a bare
+/// token is depth 1; a chain of n ANDs is depth n + 1). Every stage after
+/// parsing — classification, translation, compilation, evaluation — walks
+/// the tree recursively, so the bound keeps their stack use bounded too.
+inline constexpr int kMaxQueryDepth = 256;
+
 /// Parses `query` and verifies it stays within `lang`'s constructs.
-/// Predicate names are validated against `registry` at parse time.
+/// Predicate names are validated against `registry` at parse time. A query
+/// deeper than kMaxQueryDepth fails with InvalidArgument before any
+/// recursive stage runs (the parser's own descent included).
 StatusOr<LangExprPtr> ParseQuery(std::string_view query, SurfaceLanguage lang,
                                  const PredicateRegistry& registry =
                                      PredicateRegistry::Default());

@@ -11,7 +11,10 @@
 #include "eval/comp_engine.h"
 #include "eval/npred_engine.h"
 #include "eval/ppred_engine.h"
+#include "eval/searcher.h"
+#include "exec/exec_context.h"
 #include "index/index_builder.h"
+#include "index/index_snapshot.h"
 #include "lang/parser.h"
 #include "text/corpus.h"
 
@@ -155,6 +158,52 @@ TEST_P(PredicateEdgeCases, ZeroDistanceMeansAdjacent) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, PredicateEdgeCases,
                          ::testing::Values("PPRED", "NPRED", "COMP"));
+
+// Query depth is bounded at the parse boundary (kMaxQueryDepth): deeper
+// queries fail with InvalidArgument instead of overflowing the stack in a
+// recursive stage, and a query right at the bound evaluates on every path.
+TEST(QueryDepthLimit, SearcherRejectsDeepQueriesAndServesTheLimit) {
+  Corpus corpus;
+  corpus.AddDocument("a b c");
+  corpus.AddDocument("a c");
+  corpus.AddDocument("b");
+  InvertedIndex index = IndexBuilder::Build(corpus);
+  for (ScoringKind scoring : {ScoringKind::kNone, ScoringKind::kTfIdf,
+                              ScoringKind::kProbabilistic}) {
+    SearcherOptions options;
+    options.scoring = scoring;
+    Searcher searcher(IndexSnapshot::ForIndex(&index), options);
+    const auto search = [&](const std::string& q) {
+      ExecContext ctx;
+      return searcher.Search(q, ctx);
+    };
+
+    std::string chain = "'a'";
+    for (int i = 1; i < 10000; ++i) chain += " AND 'a'";
+    auto deep = search(chain);
+    ASSERT_FALSE(deep.ok());
+    EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+
+    // kMaxQueryDepth levels: a BOOL chain, and a COMP query whose chain
+    // ends in a closed negated subquery (the materialized algebra path,
+    // whose plan is several times deeper than the query).
+    std::string bool_chain = "'a'";
+    for (int i = 1; i < kMaxQueryDepth; ++i) bool_chain += " AND 'a'";
+    auto bool_result = search(bool_chain);
+    ASSERT_TRUE(bool_result.ok()) << bool_result.status().ToString();
+    EXPECT_EQ(bool_result->result.nodes, (std::vector<NodeId>{0, 1}));
+
+    const std::string negated =
+        "NOT (SOME p SOME q (p HAS 'a' AND q HAS 'b' AND not_distance(p, q, 3)))";
+    std::string comp_chain = "'c'";
+    for (int i = 2; i < kMaxQueryDepth; ++i) comp_chain += " AND 'c'";
+    comp_chain += " AND " + negated;
+    auto comp_result = search(comp_chain);
+    ASSERT_TRUE(comp_result.ok()) << comp_result.status().ToString();
+    EXPECT_EQ(comp_result->engine, "COMP");
+    EXPECT_EQ(comp_result->result.nodes, (std::vector<NodeId>{0, 1}));
+  }
+}
 
 }  // namespace
 }  // namespace fts

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +18,10 @@
 #include "eval/searcher.h"
 #include "exec/exec_context.h"
 #include "exec/ingest_service.h"
+#include "index/index_builder.h"
 #include "index/index_io.h"
+#include "index/segment.h"
+#include "text/corpus.h"
 
 namespace fts {
 namespace {
@@ -134,6 +139,50 @@ TEST(IngestServiceTest, SpilledSegmentsAreOrdinaryIndexFiles) {
   EXPECT_EQ((*loaded)->total_nodes(), 2u);
   EXPECT_EQ(QueryNodes(*loaded, "'b'"), (Nodes{0, 1}));
   EXPECT_EQ(QueryNodes(*loaded, "'a'"), Nodes{0});
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SegmentDurabilityTest, SaveSegmentAtomicReloadsBitIdentically) {
+  const std::string dir = ::testing::TempDir() + "/fts_segment_durable";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+
+  Corpus corpus;
+  corpus.AddDocument("a b c a b");
+  corpus.AddDocument("b c d");
+  corpus.AddDocument("a a d");
+  IndexBuildOptions build;
+  build.pairs = {.frequent_terms = 2, .max_distance = 2};
+  const InvertedIndex index = IndexBuilder::Build(corpus, build);
+  std::string expected;
+  SaveIndexToString(index, &expected);
+
+  // The synced file holds exactly the serialization, nothing is left at
+  // the temporary name, and both load modes re-serialize to the same bytes.
+  const std::string path = dir + "/segment.fts";
+  ASSERT_TRUE(SaveSegmentAtomic(index, path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::ifstream in(path, std::ios::binary);
+  const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, expected);
+  for (LoadOptions::Mode mode : {LoadOptions::Mode::kEager, LoadOptions::Mode::kMmap}) {
+    InvertedIndex loaded;
+    LoadOptions options;
+    options.mode = mode;
+    ASSERT_TRUE(LoadIndexFromFile(path, &loaded, options).ok());
+    std::string reserialized;
+    SaveIndexToString(loaded, &reserialized);
+    EXPECT_EQ(reserialized, expected);
+  }
+
+  // Overwriting an existing segment goes through the same path.
+  ASSERT_TRUE(SaveSegmentAtomic(index, path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // A path whose directory does not exist fails cleanly.
+  const Status missing = SaveSegmentAtomic(index, dir + "/absent/segment.fts");
+  EXPECT_EQ(missing.code(), StatusCode::kIOError);
   std::filesystem::remove_all(dir);
 }
 

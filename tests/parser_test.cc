@@ -163,5 +163,50 @@ TEST(ParserTest, RoundTripThroughToString) {
   }
 }
 
+std::string NestedParens(int levels) {
+  return std::string(levels, '(') + "'a'" + std::string(levels, ')');
+}
+
+std::string AndChain(int terms) {
+  std::string q = "'a'";
+  for (int i = 1; i < terms; ++i) q += " AND 'b'";
+  return q;
+}
+
+void ExpectTooDeep(const std::string& q) {
+  auto e = ParseQuery(q, SurfaceLanguage::kComp);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(e.status().message().find("deeper"), std::string::npos)
+      << e.status().ToString();
+}
+
+TEST(ParserTest, DeepNestingIsRejectedNotACrash) {
+  // Each of these used to recurse once per level — in the parser itself
+  // (parentheses, NOT) or in every stage after it (the left-deep AND
+  // chain) — until the stack overflowed.
+  ExpectTooDeep(NestedParens(10000));
+  ExpectTooDeep(AndChain(10000));
+  std::string nots;
+  for (int i = 0; i < 10000; ++i) nots += "NOT ";
+  ExpectTooDeep(nots + "'a'");
+  std::string somes;
+  for (int i = 0; i < 10000; ++i) somes += "SOME p ";
+  ExpectTooDeep(somes + "p HAS 'a'");
+}
+
+TEST(ParserTest, DepthLimitIsExact) {
+  // A bare token is depth 1; each parenthesized group and each AND adds one.
+  EXPECT_TRUE(ParseQuery(NestedParens(kMaxQueryDepth - 1), SurfaceLanguage::kComp).ok());
+  ExpectTooDeep(NestedParens(kMaxQueryDepth));
+  EXPECT_TRUE(ParseQuery(AndChain(kMaxQueryDepth), SurfaceLanguage::kComp).ok());
+  ExpectTooDeep(AndChain(kMaxQueryDepth + 1));
+  // Depth is the deepest path, not the size: 128 leaves combined as a
+  // balanced tree are 15 levels deep.
+  std::string balanced = "'a'";
+  for (int i = 0; i < 7; ++i) balanced = "(" + balanced + ") OR (" + balanced + ")";
+  EXPECT_TRUE(ParseQuery(balanced, SurfaceLanguage::kComp).ok());
+}
+
 }  // namespace
 }  // namespace fts
