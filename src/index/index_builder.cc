@@ -2,27 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <span>
 
 #include "index/block_posting_list.h"
+#include "index/build_parallel.h"
 
 namespace fts {
-
-namespace {
-
-/// Per-node occurrence map: token -> positions, ordered by token id so
-/// appends hit each inverted list in node order.
-using NodeOccurrences = std::map<TokenId, std::vector<PositionInfo>>;
-
-NodeOccurrences CollectOccurrences(const TokenizedDocument& doc) {
-  NodeOccurrences occ;
-  for (size_t i = 0; i < doc.size(); ++i) {
-    occ[doc.tokens[i]].push_back(doc.positions[i]);
-  }
-  return occ;
-}
-
-}  // namespace
 
 InvertedIndex IndexBuilder::Build(const Corpus& corpus) {
   return Build(corpus, IndexBuildOptions{});
@@ -43,31 +28,63 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   index.unique_tokens_.assign(num_nodes, 0);
   index.node_norms_.assign(num_nodes, 0.0);
 
-  // Encode each list directly into its block-compressed resident form,
-  // tracking the per-entry shape statistics as entries stream by (the
-  // compressed form only exposes them again via a decode). Per-node
-  // occurrence maps are kept so TF-IDF norms can be computed once document
-  // frequencies are known.
+  // Every occurrence is grouped by token with a stable counting sort —
+  // node order, then offset order, kept within each token — so each list
+  // is encoded start to finish in one go from its own slice. Lists depend
+  // only on their own slices, so they encode in parallel (IL_ANY, the
+  // largest, first), byte-identical to a sequential build.
   IndexStats& s = index.stats_;
-  std::vector<NodeOccurrences> per_node(num_nodes);
+  std::vector<size_t> token_begin(vocab + 1, 0);
   for (NodeId n = 0; n < num_nodes; ++n) {
     const TokenizedDocument& doc = corpus.doc(n);
-    per_node[n] = CollectOccurrences(doc);
-    index.unique_tokens_[n] = static_cast<uint32_t>(per_node[n].size());
-    for (const auto& [tok, positions] : per_node[n]) {
-      index.block_lists_[tok].Append(n, positions);
-      s.pos_per_entry =
-          std::max(s.pos_per_entry, static_cast<uint32_t>(positions.size()));
-    }
+    for (const TokenId t : doc.tokens) ++token_begin[t + 1];
     if (!doc.positions.empty()) {
-      index.block_any_list_->Append(n, doc.positions);
       s.total_positions += doc.positions.size();
       s.pos_per_cnode = std::max(s.pos_per_cnode,
                                  static_cast<uint32_t>(doc.positions.size()));
     }
   }
-  for (BlockPostingList& l : index.block_lists_) l.Finish();
-  index.block_any_list_->Finish();
+  for (size_t t = 0; t < vocab; ++t) token_begin[t + 1] += token_begin[t];
+  std::vector<NodeId> occ_node(token_begin[vocab]);
+  std::vector<PositionInfo> occ_pos(token_begin[vocab]);
+  {
+    std::vector<size_t> fill(token_begin.begin(), token_begin.end() - 1);
+    for (NodeId n = 0; n < num_nodes; ++n) {
+      const TokenizedDocument& doc = corpus.doc(n);
+      for (size_t i = 0; i < doc.size(); ++i) {
+        const size_t k = fill[doc.tokens[i]]++;
+        occ_node[k] = n;
+        occ_pos[k] = doc.positions[i];
+      }
+    }
+  }
+  const size_t threads = build_internal::BuildThreads(num_nodes);
+  std::vector<uint32_t> longest_entry(vocab, 0);
+  build_internal::ParallelFor(vocab + 1, threads, [&](size_t task) {
+    if (task == 0) {
+      for (NodeId n = 0; n < num_nodes; ++n) {
+        const TokenizedDocument& doc = corpus.doc(n);
+        if (!doc.positions.empty()) index.block_any_list_->Append(n, doc.positions);
+      }
+      index.block_any_list_->Finish();
+      return;
+    }
+    const TokenId t = static_cast<TokenId>(task - 1);
+    BlockPostingList& list = index.block_lists_[t];
+    for (size_t k = token_begin[t]; k < token_begin[t + 1];) {
+      size_t end = k + 1;
+      while (end < token_begin[t + 1] && occ_node[end] == occ_node[k]) ++end;
+      list.Append(occ_node[k], std::span<const PositionInfo>(&occ_pos[k], end - k));
+      longest_entry[t] = std::max(longest_entry[t], static_cast<uint32_t>(end - k));
+      k = end;
+    }
+    list.Finish();
+  });
+  for (const uint32_t len : longest_entry) {
+    s.pos_per_entry = std::max(s.pos_per_entry, len);
+  }
+  std::vector<NodeId>().swap(occ_node);
+  std::vector<PositionInfo>().swap(occ_pos);
 
   // TF-IDF norms: ||n||_2 = sqrt(sum_t (tf(n,t) * idf(t))^2) using the
   // paper's formulae tf = occurs/unique_tokens, idf = ln(1 + db_size/df).
@@ -77,30 +94,50 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   // identical wherever the same logical corpus is indexed. Segment-level
   // snapshot stats (index/index_snapshot.h) recompute norms with global
   // document frequencies in the same order, which is what makes
-  // multi-segment scores bit-identical to a single-shot build.
-  std::vector<TokenId> sorted_toks;
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    const uint32_t uniq = index.unique_tokens_[n];
-    if (uniq == 0) {
-      index.node_norms_[n] = 1.0;  // empty node: neutral norm, never scored
-      continue;
-    }
-    sorted_toks.clear();
-    for (const auto& [tok, positions] : per_node[n]) sorted_toks.push_back(tok);
-    std::sort(sorted_toks.begin(), sorted_toks.end(),
-              [&corpus](TokenId a, TokenId b) {
-                return corpus.token_text(a) < corpus.token_text(b);
-              });
-    double sum_sq = 0;
-    for (const TokenId tok : sorted_toks) {
-      const std::vector<PositionInfo>& positions = per_node[n][tok];
-      const double df = static_cast<double>(index.block_lists_[tok].num_entries());
-      const double idf = std::log(1.0 + static_cast<double>(num_nodes) / df);
-      const double tf = static_cast<double>(positions.size()) / uniq;
-      sum_sq += tf * idf * tf * idf;
-    }
-    index.node_norms_[n] = sum_sq > 0 ? std::sqrt(sum_sq) : 1.0;
-  }
+  // multi-segment scores bit-identical to a single-shot build. Token texts
+  // are ranked once over the vocabulary, so each node sorts integers.
+  std::vector<TokenId> by_text(vocab);
+  for (TokenId t = 0; t < vocab; ++t) by_text[t] = t;
+  std::sort(by_text.begin(), by_text.end(), [&corpus](TokenId a, TokenId b) {
+    return corpus.token_text(a) < corpus.token_text(b);
+  });
+  std::vector<uint32_t> text_rank(vocab);
+  for (size_t r = 0; r < vocab; ++r) text_rank[by_text[r]] = static_cast<uint32_t>(r);
+  std::vector<TokenId>().swap(by_text);
+
+  constexpr size_t kRangeNodes = 256;
+  build_internal::ParallelFor(
+      (num_nodes + kRangeNodes - 1) / kRangeNodes, threads, [&](size_t r) {
+        std::vector<uint32_t> tf(vocab, 0);
+        std::vector<TokenId> toks;
+        const NodeId end =
+            static_cast<NodeId>(std::min(num_nodes, (r + 1) * kRangeNodes));
+        for (NodeId n = static_cast<NodeId>(r * kRangeNodes); n < end; ++n) {
+          toks.clear();
+          for (const TokenId t : corpus.doc(n).tokens) {
+            if (tf[t]++ == 0) toks.push_back(t);
+          }
+          const uint32_t uniq = static_cast<uint32_t>(toks.size());
+          index.unique_tokens_[n] = uniq;
+          if (uniq == 0) {
+            index.node_norms_[n] = 1.0;  // empty node: neutral norm, never scored
+            continue;
+          }
+          std::sort(toks.begin(), toks.end(), [&text_rank](TokenId a, TokenId b) {
+            return text_rank[a] < text_rank[b];
+          });
+          double sum_sq = 0;
+          for (const TokenId tok : toks) {
+            const double df =
+                static_cast<double>(index.block_lists_[tok].num_entries());
+            const double idf = std::log(1.0 + static_cast<double>(num_nodes) / df);
+            const double tf_n = static_cast<double>(tf[tok]) / uniq;
+            sum_sq += tf_n * idf * tf_n * idf;
+            tf[tok] = 0;
+          }
+          index.node_norms_[n] = sum_sq > 0 ? std::sqrt(sum_sq) : 1.0;
+        }
+      });
   index.RecomputeMinUniqNorm();
 
   // Remaining corpus shape statistics (paper Section 5.1.2 parameters).

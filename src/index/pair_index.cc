@@ -1,8 +1,9 @@
 #include "index/pair_index.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 
+#include "index/build_parallel.h"
 #include "index/inverted_index.h"
 
 namespace fts {
@@ -28,65 +29,132 @@ PairIndex PairIndex::Build(const Corpus& corpus, const InvertedIndex& index,
   });
   if (cands.size() > opts.frequent_terms) cands.resize(opts.frequent_terms);
   out.frequent_ = std::move(cands);
-  out.RebuildLookups();
 
-  // One pass over the corpus. Co-occurrences are found by the windowed
-  // double loop (offsets are strictly increasing within a document, so the
-  // inner loop is bounded by the window's token span); records accumulate
-  // per (key, node) and flush to the key's building list in node order,
-  // which is exactly the append order BlockPostingList requires. Ordered
-  // maps keep both the per-node flush and the final key table sorted by
-  // packed key, so keys_ comes out sorted with no extra pass.
+  // Each list is encoded start to finish in one go: co-occurrence records
+  // are collected per node into flat arrays, grouped by key, and only then
+  // appended — so no list sits half-built while the others grow.
+  //
+  // 1. Node ranges (in parallel): the windowed double loop finds every
+  //    co-occurrence (offsets are strictly increasing within a document, so
+  //    the inner loop is bounded by the window's token span). A node's
+  //    records are sorted by (key, offset, signed delta), and each key's run
+  //    becomes one entry: the packed tf header plus its records, in the
+  //    range's payload array.
+  // 2. A stable two-pass counting sort over (second, then first) groups the
+  //    entries by packed key, node order kept within each key — exactly the
+  //    append order BlockPostingList requires — and leaves keys_ sorted.
+  // 3. Lists (in parallel): each depends only on its own entries.
+  const size_t vocab = corpus.vocabulary_size();
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> rank_of(vocab, kNone);
+  for (size_t r = 0; r < out.frequent_.size(); ++r) {
+    rank_of[out.frequent_[r]] = static_cast<uint32_t>(r);
+  }
+
+  struct Record {
+    uint64_t key;
+    uint32_t offset;  // of the key's first term
+    int32_t delta;    // to the key's second term
+  };
+  struct Entry {
+    uint64_t key;
+    NodeId node;
+    uint32_t range;  // index into ranges: whose payload holds the entry
+    uint32_t begin;  // into that range's payload
+    uint32_t size;   // tf header + records
+  };
+  struct Range {
+    std::vector<Entry> entries;
+    std::vector<PositionInfo> payload;
+  };
+  constexpr size_t kRangeNodes = 256;
+  const size_t num_nodes = corpus.num_nodes();
+  const size_t threads = build_internal::BuildThreads(num_nodes);
+  std::vector<Range> ranges((num_nodes + kRangeNodes - 1) / kRangeNodes);
   const uint32_t window = opts.max_distance + 1;
-  std::map<uint64_t, BlockPostingList> building;
-  std::map<uint64_t, std::vector<PositionInfo>> recs;
-  std::unordered_map<TokenId, uint32_t> tf;
-  std::vector<PositionInfo> entry;
-  for (NodeId n = 0; n < corpus.num_nodes(); ++n) {
-    const TokenizedDocument& doc = corpus.doc(n);
-    recs.clear();
-    tf.clear();
-    for (const TokenId t : doc.tokens) ++tf[t];
-    for (size_t i = 0; i < doc.size(); ++i) {
-      const uint32_t off_i = doc.positions[i].offset;
-      for (size_t j = i + 1;
-           j < doc.size() && doc.positions[j].offset - off_i <= window; ++j) {
-        const TokenId a = doc.tokens[i], b = doc.tokens[j];
-        if (a == b) continue;
-        const size_t ra = out.rank(a), rb = out.rank(b);
-        if (ra == kNotFrequent && rb == kNotFrequent) continue;
-        const uint32_t off_j = doc.positions[j].offset;
-        const int32_t gap = static_cast<int32_t>(off_j - off_i);
-        const bool a_first = ra < rb;
-        const TokenId first = a_first ? a : b;
-        const TokenId second = a_first ? b : a;
-        recs[PackKey(first, second)].push_back(
-            {a_first ? off_i : off_j,
-             ZigZag(a_first ? gap : -gap), 0});
+  build_internal::ParallelFor(ranges.size(), threads, [&](size_t r) {
+    Range& range = ranges[r];
+    std::vector<uint32_t> tf(vocab, 0);
+    std::vector<Record> recs;
+    const NodeId end =
+        static_cast<NodeId>(std::min(num_nodes, (r + 1) * kRangeNodes));
+    for (NodeId n = static_cast<NodeId>(r * kRangeNodes); n < end; ++n) {
+      const TokenizedDocument& doc = corpus.doc(n);
+      recs.clear();
+      for (size_t i = 0; i < doc.size(); ++i) {
+        const TokenId a = doc.tokens[i];
+        const uint32_t ra = rank_of[a];
+        const uint32_t off_i = doc.positions[i].offset;
+        ++tf[a];
+        for (size_t j = i + 1;
+             j < doc.size() && doc.positions[j].offset - off_i <= window; ++j) {
+          const TokenId b = doc.tokens[j];
+          const uint32_t rb = rank_of[b];
+          if (a == b || (ra == kNone && rb == kNone)) continue;
+          const uint32_t off_j = doc.positions[j].offset;
+          const int32_t gap = static_cast<int32_t>(off_j - off_i);
+          recs.push_back(ra < rb ? Record{PackKey(a, b), off_i, gap}
+                                 : Record{PackKey(b, a), off_j, -gap});
+        }
       }
+      std::sort(recs.begin(), recs.end(), [](const Record& x, const Record& y) {
+        if (x.key != y.key) return x.key < y.key;
+        if (x.offset != y.offset) return x.offset < y.offset;
+        return x.delta < y.delta;
+      });
+      for (size_t i = 0; i < recs.size();) {
+        const uint64_t key = recs[i].key;
+        const size_t begin = range.payload.size();
+        range.payload.push_back({tf[static_cast<TokenId>(key >> 32)],
+                                 tf[static_cast<TokenId>(key)], 0});
+        for (; i < recs.size() && recs[i].key == key; ++i) {
+          range.payload.push_back(
+              {recs[i].offset, ZigZag(recs[i].delta), 0});
+        }
+        range.entries.push_back(
+            {key, n, static_cast<uint32_t>(r), static_cast<uint32_t>(begin),
+             static_cast<uint32_t>(range.payload.size() - begin)});
+      }
+      for (const TokenId t : doc.tokens) tf[t] = 0;
     }
-    for (auto& [key, rv] : recs) {
-      std::sort(rv.begin(), rv.end(),
-                [](const PositionInfo& x, const PositionInfo& y) {
-                  if (x.offset != y.offset) return x.offset < y.offset;
-                  return UnZigZag(x.sentence) < UnZigZag(y.sentence);
-                });
-      entry.clear();
-      entry.push_back({tf[static_cast<TokenId>(key >> 32)],
-                       tf[static_cast<TokenId>(key)], 0});
-      entry.insert(entry.end(), rv.begin(), rv.end());
-      building[key].Append(n, entry);
-    }
-  }
+  });
 
-  out.keys_.reserve(building.size());
-  out.lists_.reserve(building.size());
-  for (auto& [key, list] : building) {
-    list.Finish();
-    out.keys_.push_back(
-        {static_cast<TokenId>(key >> 32), static_cast<TokenId>(key)});
-    out.lists_.push_back(std::move(list));
+  std::vector<const Entry*> order, sorted;
+  for (const Range& range : ranges) {
+    for (const Entry& e : range.entries) order.push_back(&e);
   }
+  for (const int shift : {0, 32}) {  // by second, then stably by first
+    std::vector<size_t> start(vocab + 1, 0);
+    for (const Entry* e : order) ++start[static_cast<TokenId>(e->key >> shift) + 1];
+    for (size_t t = 0; t < vocab; ++t) start[t + 1] += start[t];
+    sorted.resize(order.size());
+    for (const Entry* e : order) {
+      sorted[start[static_cast<TokenId>(e->key >> shift)]++] = e;
+    }
+    order.swap(sorted);
+  }
+  std::vector<const Entry*>().swap(sorted);
+
+  std::vector<size_t> list_begin;  // into order: one per list, then the end
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || order[i]->key != order[i - 1]->key) list_begin.push_back(i);
+  }
+  out.keys_.reserve(list_begin.size());
+  for (const size_t i : list_begin) {
+    out.keys_.push_back({static_cast<TokenId>(order[i]->key >> 32),
+                         static_cast<TokenId>(order[i]->key)});
+  }
+  list_begin.push_back(order.size());
+  out.lists_.resize(out.keys_.size());
+  build_internal::ParallelFor(out.lists_.size(), threads, [&](size_t k) {
+    BlockPostingList& list = out.lists_[k];
+    for (size_t i = list_begin[k]; i < list_begin[k + 1]; ++i) {
+      const Entry& e = *order[i];
+      list.Append(e.node, std::span<const PositionInfo>(
+                              ranges[e.range].payload.data() + e.begin, e.size));
+    }
+    list.Finish();
+  });
   out.RebuildLookups();
   return out;
 }

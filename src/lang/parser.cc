@@ -246,6 +246,10 @@ class Parser {
 
 StatusOr<LangExprPtr> ParseQuery(std::string_view query, SurfaceLanguage lang,
                                  const PredicateRegistry& registry) {
+  if (query.size() > kMaxQueryBytes) {
+    return Status::InvalidArgument("query longer than " +
+                                   std::to_string(kMaxQueryBytes) + " bytes");
+  }
   FTS_ASSIGN_OR_RETURN(std::vector<LexToken> tokens, LexQuery(query));
   Parser parser(std::move(tokens), registry);
   FTS_ASSIGN_OR_RETURN(LangExprPtr expr, parser.Parse());

@@ -19,6 +19,7 @@
 #ifndef FTS_LANG_PARSER_H_
 #define FTS_LANG_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/status.h"
@@ -44,10 +45,16 @@ const char* SurfaceLanguageToString(SurfaceLanguage lang);
 /// the tree recursively, so the bound keeps their stack use bounded too.
 inline constexpr int kMaxQueryDepth = 256;
 
+/// Longest query text, in bytes, ParseQuery accepts. The wire admits frames
+/// up to kMaxFrameBytes (64 MiB); lexing and parsing a query that size
+/// would cost a worker seconds and the token vector many times its size.
+inline constexpr size_t kMaxQueryBytes = size_t{1} << 20;
+
 /// Parses `query` and verifies it stays within `lang`'s constructs.
 /// Predicate names are validated against `registry` at parse time. A query
 /// deeper than kMaxQueryDepth fails with InvalidArgument before any
-/// recursive stage runs (the parser's own descent included).
+/// recursive stage runs (the parser's own descent included); one longer
+/// than kMaxQueryBytes fails with InvalidArgument before lexing.
 StatusOr<LangExprPtr> ParseQuery(std::string_view query, SurfaceLanguage lang,
                                  const PredicateRegistry& registry =
                                      PredicateRegistry::Default());

@@ -17,6 +17,7 @@
 
 #include "exec/search_service.h"
 #include "index/index_builder.h"
+#include "lang/parser.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -351,6 +352,22 @@ TEST(NetLoopbackTest, HttpMetricsAndHealthOnSamePort) {
 
   const std::string missing = HttpGet(lb.server.port(), "/nope");
   EXPECT_NE(missing.find("404"), std::string::npos);
+}
+
+TEST(NetLoopbackTest, OversizedQueryAnsweredInBand) {
+  // Well inside the 64 MiB frame limit, past ParseQuery's size limit: the
+  // server replies with an error and keeps serving.
+  Loopback lb;
+  std::string query = "'apple'";
+  query.resize(kMaxQueryBytes + 1, ' ');
+  auto got = lb.client->Search(query);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(HttpGet(lb.server.port(), "/healthz").find("200 OK"),
+            std::string::npos);
+  auto after = lb.client->Search("'apple'");
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->status.ok());
 }
 
 TEST(NetLoopbackTest, PerRequestCursorModeOverride) {

@@ -195,6 +195,20 @@ TEST(ParserTest, DeepNestingIsRejectedNotACrash) {
   ExpectTooDeep(somes + "p HAS 'a'");
 }
 
+TEST(ParserTest, SizeLimitIsExact) {
+  // A bare token padded with spaces to exactly the limit parses; one more
+  // byte is refused before lexing.
+  std::string query = "'a'";
+  query.resize(kMaxQueryBytes, ' ');
+  EXPECT_TRUE(ParseQuery(query, SurfaceLanguage::kComp).ok());
+  query.push_back(' ');
+  const auto parsed = ParseQuery(query, SurfaceLanguage::kComp);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("longer than"), std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(ParserTest, DepthLimitIsExact) {
   // A bare token is depth 1; each parenthesized group and each AND adds one.
   EXPECT_TRUE(ParseQuery(NestedParens(kMaxQueryDepth - 1), SurfaceLanguage::kComp).ok());
